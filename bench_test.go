@@ -10,8 +10,11 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/harness"
 	"repro/internal/machine"
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 func BenchmarkFigure5(b *testing.B) {
@@ -255,6 +258,48 @@ func BenchmarkAnalysisThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		bench.Trace.ComputeDeps()
+	}
+}
+
+// BenchmarkEmulatorThroughput measures the functional emulator (emu.Run)
+// and the architectural re-check (emu.CheckOS) that every cold preparation
+// pays, on a synthetic workload and a syscall-bearing kernel. ns/instr is
+// per retired instruction; -benchmem shows Run's trace allocation.
+func BenchmarkEmulatorThroughput(b *testing.B) {
+	for _, name := range []string{"gzip", "quicksort"} {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			b.Fatalf("unknown workload %s", name)
+		}
+		prog := w.Assemble()
+		run := func() (*trace.Trace, error) {
+			return emu.Run(prog, emu.Config{MaxInstrs: w.MaxInstrs, OS: w.NewOS(), Segments: w.Segments(prog)})
+		}
+		tr, err := run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		perInstr := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/instr")
+		}
+		b.Run(name+"/run", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perInstr(b)
+		})
+		b.Run(name+"/check", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := emu.CheckOS(prog, tr, w.NewOS()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perInstr(b)
+		})
 	}
 }
 

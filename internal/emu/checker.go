@@ -26,17 +26,18 @@ func Check(p *isa.Program, tr *trace.Trace) error {
 func CheckOS(p *isa.Program, tr *trace.Trace, os SyscallHandler) error {
 	m := New(p, 0)
 	m.OS = os
+	// One entry buffer serves the whole replay: every step overwrites it
+	// in full before it is compared.
+	var got trace.Entry
 	for i := range tr.Entries {
 		if m.Halted {
 			return fmt.Errorf("emu: check: trace has %d entries but execution halted at %d", len(tr.Entries), i)
 		}
-		ref := &trace.Trace{Entries: make([]trace.Entry, 0, 1)}
-		if err := m.Step(ref); err != nil {
+		if err := m.step(&got); err != nil {
 			return fmt.Errorf("emu: check: at entry %d: %w", i, err)
 		}
-		got, want := ref.Entries[0], tr.Entries[i]
-		if got != want {
-			return fmt.Errorf("emu: check: divergence at entry %d: trace %+v, architectural %+v", i, want, got)
+		if want := &tr.Entries[i]; got != *want {
+			return fmt.Errorf("emu: check: divergence at entry %d: trace %+v, architectural %+v", i, *want, got)
 		}
 	}
 	// Every provided entry matched; a trace produced under an instruction

@@ -21,7 +21,8 @@ type Config struct {
 	MaxInstrs int
 	// StackTop initializes $sp; 0 selects isa.DefaultStackTop.
 	StackTop uint64
-	// Record disables trace recording when false... (zero value records).
+	// NoTrace disables trace recording: Run returns a nil trace. The zero
+	// value records.
 	NoTrace bool
 	// Metrics, when non-nil, receives the emu.* functional-execution
 	// counters (docs/OBSERVABILITY.md) once the run finishes. The stepping
@@ -63,6 +64,56 @@ type Machine struct {
 	OS SyscallHandler
 	// Segs, when non-nil, bounds-checks every data access (see Config.Segments).
 	Segs []Segment
+
+	code []decoded // Prog.Code, predecoded by New
+}
+
+// decoded is one predecoded static instruction: the instruction itself and
+// the fields of its trace entry that every execution of it shares, so a
+// step only fills in what the execution decides (Next, Addr, FlagTaken).
+type decoded struct {
+	inst isa.Inst
+	tmpl trace.Entry // PC, Op, Dst, Srcs, NSrc, MemW and the static flags
+}
+
+// predecode builds the decode table of p, parallel to p.Code.
+func predecode(p *isa.Program) []decoded {
+	code := make([]decoded, len(p.Code))
+	for i, inst := range p.Code {
+		e := trace.Entry{PC: p.PCOf(i), Op: inst.Op, MemW: uint8(inst.MemWidth())}
+		if d, ok := inst.Dst(); ok {
+			e.Dst = d
+			e.Flags |= trace.FlagHasDst
+		}
+		var srcs [4]isa.Reg
+		ss := inst.Srcs(srcs[:0])
+		// The ISA has at most two register sources.
+		for k, r := range ss {
+			if k < 2 {
+				e.Srcs[k] = r
+			}
+		}
+		e.NSrc = uint8(len(ss))
+		switch {
+		case inst.IsLoad():
+			e.Flags |= trace.FlagLoad
+		case inst.IsStore():
+			e.Flags |= trace.FlagStore
+		case inst.IsCondBranch():
+			e.Flags |= trace.FlagCondBranch
+		case inst.Op == isa.OpJAL:
+			e.Flags |= trace.FlagCall
+		case inst.Op == isa.OpJR:
+			e.Flags |= trace.FlagIndirect
+			if inst.IsReturn() {
+				e.Flags |= trace.FlagReturn
+			}
+		case inst.Op == isa.OpJALR:
+			e.Flags |= trace.FlagCall | trace.FlagIndirect
+		}
+		code[i] = decoded{inst: inst, tmpl: e}
+	}
+	return code
 }
 
 // New creates a machine with the program image loaded and the ABI state
@@ -72,7 +123,7 @@ func New(p *isa.Program, stackTop uint64) *Machine {
 	if stackTop == 0 {
 		stackTop = isa.DefaultStackTop
 	}
-	m := &Machine{Prog: p, Mem: NewMemory(), PC: p.Entry}
+	m := &Machine{Prog: p, Mem: NewMemory(), PC: p.Entry, code: predecode(p)}
 	m.Mem.LoadImage(p.DataBase, p.Data)
 	m.Regs[isa.SP] = int64(stackTop)
 	m.Regs[isa.GP] = int64(p.DataBase)
@@ -86,16 +137,28 @@ func (m *Machine) Step(tr *trace.Trace) error {
 	if m.Halted {
 		return nil
 	}
-	inst, ok := m.Prog.InstAt(m.PC)
-	if !ok {
+	var e trace.Entry
+	if err := m.step(&e); err != nil || tr == nil {
+		return err
+	}
+	tr.Entries = append(tr.Entries, e)
+	return nil
+}
+
+// step executes one instruction of a running machine and writes its trace
+// entry to e. On a fault the machine state is unchanged apart from what a
+// syscall handler did, and e must be ignored.
+func (m *Machine) step(e *trace.Entry) error {
+	off := m.PC - m.Prog.CodeBase
+	if off%isa.InstSize != 0 || off/isa.InstSize >= uint64(len(m.code)) {
 		return fmt.Errorf("emu: PC 0x%x outside code segment [0x%x,0x%x) after %d instructions",
 			m.PC, m.Prog.CodeBase, m.Prog.CodeBase+uint64(len(m.Prog.Code))*isa.InstSize, m.Count)
 	}
+	d := &m.code[off/isa.InstSize]
+	inst := &d.inst
+	*e = d.tmpl
 	pc := m.PC
 	next := pc + isa.InstSize
-	var e trace.Entry
-	e.PC = pc
-	e.Op = inst.Op
 
 	rs, rt := m.Regs[inst.Rs], m.Regs[inst.Rt]
 	var result int64
@@ -171,7 +234,7 @@ func (m *Machine) Step(tr *trace.Trace) error {
 
 	case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLW, isa.OpLD:
 		addr := uint64(rs + inst.Imm)
-		w := inst.MemWidth()
+		w := int(e.MemW)
 		if err := m.checkAccess(pc, addr, w, "load"); err != nil {
 			return err
 		}
@@ -189,18 +252,16 @@ func (m *Machine) Step(tr *trace.Trace) error {
 			result = int64(v)
 		}
 		writeDst = true
-		e.Addr, e.MemW = addr, uint8(w)
-		e.Flags |= trace.FlagLoad
+		e.Addr = addr
 
 	case isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSD:
 		addr := uint64(rs + inst.Imm)
-		w := inst.MemWidth()
+		w := int(e.MemW)
 		if err := m.checkAccess(pc, addr, w, "store"); err != nil {
 			return err
 		}
 		m.Mem.Write(addr, w, uint64(rt))
-		e.Addr, e.MemW = addr, uint8(w)
-		e.Flags |= trace.FlagStore
+		e.Addr = addr
 
 	case isa.OpBEQ, isa.OpBNE, isa.OpBLEZ, isa.OpBGTZ, isa.OpBLTZ, isa.OpBGEZ:
 		taken := false
@@ -218,7 +279,6 @@ func (m *Machine) Step(tr *trace.Trace) error {
 		case isa.OpBGEZ:
 			taken = rs >= 0
 		}
-		e.Flags |= trace.FlagCondBranch
 		if taken {
 			e.Flags |= trace.FlagTaken
 			next = uint64(inst.Imm)
@@ -229,20 +289,14 @@ func (m *Machine) Step(tr *trace.Trace) error {
 	case isa.OpJAL:
 		m.Regs[isa.RA] = int64(next)
 		next = uint64(inst.Imm)
-		e.Flags |= trace.FlagCall
 	case isa.OpJR:
 		next = uint64(rs)
-		e.Flags |= trace.FlagIndirect
-		if inst.IsReturn() {
-			e.Flags |= trace.FlagReturn
-		}
 	case isa.OpJALR:
 		link := int64(next)
 		next = uint64(rs)
 		if inst.Rd != isa.Zero {
 			m.Regs[inst.Rd] = link
 		}
-		e.Flags |= trace.FlagCall | trace.FlagIndirect
 
 	case isa.OpSYSCALL:
 		if m.OS == nil {
@@ -262,36 +316,19 @@ func (m *Machine) Step(tr *trace.Trace) error {
 	if writeDst && inst.Rd != isa.Zero {
 		m.Regs[inst.Rd] = result
 	}
-
-	if tr != nil {
-		if d, ok := inst.Dst(); ok {
-			e.Dst = d
-			e.Flags |= trace.FlagHasDst
-		}
-		var srcs [4]isa.Reg
-		ss := inst.Srcs(srcs[:0])
-		// The ISA has at most two register sources.
-		for k, r := range ss {
-			if k < 2 {
-				e.Srcs[k] = r
-			}
-		}
-		e.NSrc = uint8(len(ss))
-		if m.Halted {
-			e.Next = pc
-		} else {
-			e.Next = next
-		}
-		tr.Entries = append(tr.Entries, e)
+	if m.Halted {
+		e.Next = pc
+	} else {
+		e.Next = next
 	}
-
 	m.PC = next
 	m.Count++
 	return nil
 }
 
 // Run executes the program to completion (halt) or to the instruction cap
-// and returns the retired trace.
+// and returns the retired trace. On a fault it returns the trace retired
+// before the faulting instruction along with the error.
 func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 	max := cfg.MaxInstrs
 	if max <= 0 {
@@ -301,13 +338,27 @@ func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 	m.OS = cfg.OS
 	m.Segs = cfg.Segments
 	var tr *trace.Trace
-	if !cfg.NoTrace {
-		tr = &trace.Trace{Entries: make([]trace.Entry, 0, 1<<16)}
-	}
-	for !m.Halted && m.Count < int64(max) {
-		if err := m.Step(tr); err != nil {
-			return tr, err
+	var err error
+	if cfg.NoTrace {
+		var e trace.Entry
+		for !m.Halted && m.Count < int64(max) && err == nil {
+			err = m.step(&e)
 		}
+	} else {
+		rec := recorder{cur: new(chunk)}
+		for !m.Halted && m.Count < int64(max) && err == nil {
+			if rec.n == chunkLen {
+				rec.next()
+			}
+			// The slot only counts once its instruction retires.
+			if err = m.step(&rec.cur[rec.n]); err == nil {
+				rec.n++
+			}
+		}
+		tr = &trace.Trace{Entries: rec.assemble()}
+	}
+	if err != nil {
+		return tr, err
 	}
 	if cfg.Metrics != nil {
 		publishMetrics(cfg.Metrics, m, tr)
@@ -316,6 +367,37 @@ func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 		return tr, fmt.Errorf("emu: instruction cap %d reached without halt (PC 0x%x)", max, m.PC)
 	}
 	return tr, nil
+}
+
+// chunkLen is the number of trace entries per recording chunk (128 KiB).
+const chunkLen = 1 << 12
+
+type chunk = [chunkLen]trace.Entry
+
+// recorder collects a run's retired entries in fixed-size chunks, so a
+// growing trace is never re-copied; assemble copies it once into a slice
+// of exactly the retired length.
+type recorder struct {
+	full []*chunk // filled chunks, in retirement order
+	cur  *chunk   // the chunk being filled
+	n    int      // entries used in cur
+}
+
+// next retires the full current chunk and starts a fresh one.
+func (r *recorder) next() {
+	r.full = append(r.full, r.cur)
+	r.cur, r.n = new(chunk), 0
+}
+
+// assemble returns the recorded entries as one slice.
+func (r *recorder) assemble() []trace.Entry {
+	out := make([]trace.Entry, len(r.full)*chunkLen+r.n)
+	at := 0
+	for _, c := range r.full {
+		at += copy(out[at:], c[:])
+	}
+	copy(out[at:], r.cur[:r.n])
+	return out
 }
 
 // publishMetrics counts the retired instruction mix into reg. With trace

@@ -243,8 +243,8 @@ loop:   addi $t0, $t0, -1
 	if !st.IsStore() || st.MemW != 8 {
 		t.Fatalf("store entry wrong: %+v", st)
 	}
-	if !tr.Entries[6].IsCondBranch() == false && tr.Entries[6].Op != 0 {
-		t.Fatalf("halt entry wrong")
+	if h := &tr.Entries[6]; h.Op != isa.OpHALT || h.Next != h.PC {
+		t.Fatalf("halt entry wrong: %+v", h)
 	}
 }
 

@@ -43,6 +43,12 @@ func (m *Machine) checkAccess(pc, addr uint64, width int, kind string) error {
 	if m.Segs == nil {
 		return nil
 	}
+	return m.checkSegments(pc, addr, width, kind)
+}
+
+// checkSegments is checkAccess's search, kept out of line so the nil-map
+// test inlines into the emulator's step.
+func (m *Machine) checkSegments(pc, addr uint64, width int, kind string) error {
 	for _, s := range m.Segs {
 		if s.Contains(addr, width) {
 			return nil
